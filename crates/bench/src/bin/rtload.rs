@@ -5,7 +5,7 @@
 //! ```sh
 //! cargo run --release -p rtdb-bench --bin rtload                  # full line-up -> ./BENCH_rt.json
 //! cargo run --release -p rtdb-bench --bin rtload -- --threads 8 --kind pcp-da --seed 7
-//! cargo run --release -p rtdb-bench --bin rtload -- --manager combining --threads 1,4,16
+//! cargo run --release -p rtdb-bench --bin rtload -- --threads 1,4,16 --tick-ns 0
 //! cargo run --release -p rtdb-bench --bin rtload -- --arrival-rate 50000 --sweep-points 6
 //! cargo run --release -p rtdb-bench --bin rtload -- --shards 1,4 --cross-fraction 0.2
 //! cargo run --release -p rtdb-bench --bin rtload -- --tenants 2 --fairness both
@@ -35,24 +35,15 @@
 //! without starting there. This measures behaviour *under offered
 //! load* — the regime where queueing collapse lives.
 //!
-//! **Sweep axes.** `--manager mutex|combining|both` (default `both`)
-//! selects the lock manager(s); every record carries a `"manager"`
-//! field, and combining records additionally carry a `"combiner"`
-//! telemetry object (passes, ops-combined-per-pass, pass-length
-//! distribution, per-priority time-in-slot). `--threads` accepts a
-//! comma-separated list; the closed loop defaults to the
-//! 1/2/4/8/16/32 sweep, the open loop runs at one thread count (the
-//! single `--threads` value if one was given, else 4). Both managers
-//! run at identical seeds and — in the open loop — identical offered
-//! rates (the auto-calibration runs once per protocol, under the mutex
-//! manager), so mutex-vs-combining records are directly comparable;
-//! after measuring, a warn-only A/B summary prints the combining-vs-
-//! mutex throughput delta for every matched pair.
+//! **Sweep axes.** `--threads` accepts a comma-separated list; the
+//! closed loop defaults to the 1/2/4/8/16/32 sweep, the open loop runs
+//! at one thread count (the single `--threads` value if one was given,
+//! else 4).
 //!
 //! `--reps` (default 3) re-runs each closed-loop configuration and keeps
 //! the *median-throughput* record: single 400-job runs are ~20 ms
 //! windows, and on a shared box one preemption inside such a window
-//! swings the measurement by ±20-30%, which would drown the A/B
+//! swings the measurement by ±20-30%, which would drown every A/B
 //! comparison in scheduler noise. The open loop is exempt — its runs are
 //! paced in real time, so repetitions multiply wall-clock cost, and its
 //! headline numbers (miss ratios over hundreds of jobs) average the
@@ -61,7 +52,12 @@
 //! `--tick-ns` scales each step's simulated duration to wall-clock
 //! busy-work (and, in open-loop mode, the deadline scale); the default
 //! keeps a full line-up under a few seconds while still letting blocking
-//! shape the tail.
+//! shape the tail. `--tick-ns 0` measures the protocol-bound closed loop
+//! only: every deadline would equal its release, so the default line-up
+//! skips its open-loop runs (saying so), and any flag only the open
+//! loop reads (`--open-only`, `--net`, `--tenants`, `--tenant-weights`,
+//! `--arrival-rate`, `--sweep-points`, `--interarrival`, `--policy`,
+//! `--queue-cap`, `--fairness`) exits 2.
 //!
 //! **Read-heavy family.** `--read-fraction F` (templates that are pure
 //! readers, default 0.95 when the family is selected) and `--skew θ`
@@ -74,8 +70,8 @@
 //! `mv_high_water`), and baseline matching is read-mix aware: a record
 //! only compares against a baseline with the same mix and snapshot
 //! setting. The default full line-up additionally appends a read-heavy
-//! sweep — PCP-DA, 95/5, θ ∈ {0, 0.6, 0.9}, snapshot off vs on, both
-//! managers — and prints a warn-only snapshot-on-vs-off A/B summary.
+//! sweep — PCP-DA, 95/5, θ ∈ {0, 0.6, 0.9}, snapshot off vs on — and
+//! prints a warn-only snapshot-on-vs-off A/B summary.
 //!
 //! **Zipfian-hotspot family.** `--skew θ` *without* `--read-fraction`
 //! switches the workload to [`rtdb_bench::hotspot_workload`] — the
@@ -89,7 +85,7 @@
 //! 2PL-HP, Bamboo, Brook-2PL). Records carry `"family": "hotspot"` and
 //! `"skew"`, so they never match read-heavy or standard baselines. The
 //! default full line-up additionally appends a hotspot sweep — those four
-//! kinds at θ ∈ {0, 0.6, 0.9, 1.2}, both managers — and every closed-loop
+//! kinds at θ ∈ {0, 0.6, 0.9, 1.2} — and every closed-loop
 //! summary line and record now includes the abort-reason breakdown
 //! (`wound` / `cascade` / `deadlock_victim` / `ceiling_block`), which is
 //! how the cascade cost of early release stays visible next to its
@@ -145,7 +141,7 @@
 //! `--check [baseline.json]` measures without writing and **warns**
 //! (exit 0 — wall-clock throughput of a threaded run on a shared CI box
 //! is too noisy to gate merges on) when committed throughput drops more
-//! than 25% against a baseline record with the same mode, manager and
+//! than 25% against a baseline record with the same mode and
 //! configuration; mismatched configurations are skipped.
 
 use rtdb::prelude::*;
@@ -184,7 +180,7 @@ const DEFAULT_OVERLOAD: f64 = 1.5;
 const SCENARIO_OVERLOAD: f64 = 2.0;
 /// Advisory tolerance: a warning is printed when committed-txns/sec
 /// drops by more than this fraction against a same-config baseline (or,
-/// in the A/B summary, when combining lags mutex by more than this).
+/// in the snapshot A/B summary, when the snapshot path costs this much).
 const REGRESSION_TOLERANCE: f64 = 0.25;
 
 struct Args {
@@ -192,8 +188,6 @@ struct Args {
     /// `None` = the full [`ProtocolKind::STANDARD`] line-up (closed
     /// loop) and the PCP-DA / 2PL-HP pair (open loop).
     kind: Option<ProtocolKind>,
-    /// Lock managers to measure (default: both).
-    managers: Vec<rt::ManagerKind>,
     /// Thread counts; `None` = the default closed-loop sweep.
     threads: Option<Vec<usize>>,
     jobs: usize,
@@ -239,15 +233,32 @@ struct Args {
     /// Fairness settings the scenario runs (`[false]`, `[true]`, or the
     /// A/B default `[false, true]`).
     fairness_modes: Vec<bool>,
+    /// The first flag given that only the open loop reads (see
+    /// [`OPEN_LOOP_FLAGS`]); refused at `--tick-ns 0`.
+    open_loop_flag: Option<&'static str>,
     /// Output path (measure mode) or baseline path (`--check` mode).
     path: String,
 }
+
+/// Flags that only the open-loop runs read: at `--tick-ns 0`, where
+/// those runs are meaningless, naming any of them exits 2.
+const OPEN_LOOP_FLAGS: [&str; 10] = [
+    "--open-only",
+    "--net",
+    "--tenants",
+    "--tenant-weights",
+    "--arrival-rate",
+    "--sweep-points",
+    "--interarrival",
+    "--policy",
+    "--queue-cap",
+    "--fairness",
+];
 
 fn parse_args() -> Args {
     let mut args = Args {
         check: false,
         kind: None,
-        managers: rt::ManagerKind::ALL.to_vec(),
         threads: None,
         jobs: DEFAULT_JOBS,
         reps: DEFAULT_REPS,
@@ -268,10 +279,14 @@ fn parse_args() -> Args {
         tenants: None,
         tenant_weights: None,
         fairness_modes: vec![false, true],
+        open_loop_flag: None,
         path: "BENCH_rt.json".into(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if let Some(&flag) = OPEN_LOOP_FLAGS.iter().find(|&&f| f == a) {
+            args.open_loop_flag.get_or_insert(flag);
+        }
         let mut value = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} takes a value"));
         match a.as_str() {
             "--check" => args.check = true,
@@ -279,13 +294,6 @@ fn parse_args() -> Args {
             "--kind" => {
                 let v = value("--kind");
                 args.kind = Some(v.parse().unwrap_or_else(|e| panic!("{e}")));
-            }
-            "--manager" => {
-                let v = value("--manager");
-                args.managers = match v.to_ascii_lowercase().as_str() {
-                    "both" | "all" => rt::ManagerKind::ALL.to_vec(),
-                    one => vec![one.parse().unwrap_or_else(|e| panic!("{e}"))],
-                };
             }
             "--threads" => {
                 let v = value("--threads");
@@ -541,36 +549,6 @@ fn abort_reason_suffix(r: &AbortBreakdown) -> String {
     format!(" [{}]", parts.join(", "))
 }
 
-/// Fold a combining run's pass/slot telemetry into a JSON object.
-fn combiner_record(c: &rt::CombinerStats) -> Json {
-    let overall = c.slot_wait_overall();
-    let prio_records: Vec<Json> = c
-        .slot_wait_by_priority
-        .iter()
-        .map(|(level, h)| {
-            Json::obj()
-                .set("priority", *level as u64)
-                .set("ops", h.count())
-                .set("p50_us", us(h.quantile(0.50)))
-                .set("p95_us", us(h.quantile(0.95)))
-                .set("p99_us", us(h.quantile(0.99)))
-                .set("max_us", us(h.max()))
-        })
-        .collect();
-    Json::obj()
-        .set("passes", c.passes)
-        .set("ops_combined", c.ops_combined)
-        .set("ops_per_pass", c.ops_per_pass())
-        .set("max_pass_len", c.max_pass_len)
-        .set("pass_len_p50", c.pass_len.quantile(0.50))
-        .set("pass_len_p99", c.pass_len.quantile(0.99))
-        .set("slot_wait_p50_us", us(overall.quantile(0.50)))
-        .set("slot_wait_p95_us", us(overall.quantile(0.95)))
-        .set("slot_wait_p99_us", us(overall.quantile(0.99)))
-        .set("slot_wait_max_us", us(overall.max()))
-        .set("slot_wait_by_priority", Json::Arr(prio_records))
-}
-
 /// Execute one protocol's closed-loop configuration `args.reps` times
 /// and keep the median-throughput record (tagged with `"reps"`). Every
 /// repetition runs the identical seeded job list; only the OS scheduler
@@ -578,14 +556,13 @@ fn combiner_record(c: &rt::CombinerStats) -> Json {
 fn measure(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     mix: Mix,
     args: &Args,
 ) -> Json {
     let mut runs: Vec<(f64, Json)> = (0..args.reps)
         .map(|_| {
-            let rec = measure_once(set, kind, manager, threads, mix, args);
+            let rec = measure_once(set, kind, threads, mix, args);
             let tps = rec
                 .get("committed_per_sec")
                 .and_then(Json::as_f64)
@@ -602,7 +579,6 @@ fn measure(
 fn measure_once(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     mix: Mix,
     args: &Args,
@@ -614,7 +590,6 @@ fn measure_once(
         rt::RtConfig::new(kind)
             .with_threads(threads)
             .with_tick_ns(args.tick_ns)
-            .with_manager(manager)
             .with_snapshot_reads(mix.snapshot)
             .with_shards(mix.shards()),
     );
@@ -637,9 +612,8 @@ fn measure_once(
 
     let throughput = result.throughput();
     println!(
-        "{:<8} {:<9} {:>3} threads {:>6} jobs {:>12.0} committed/sec {:>8} restarts {:>4} deadlocks{}",
+        "{:<8} {:>3} threads {:>6} jobs {:>12.0} committed/sec {:>8} restarts {:>4} deadlocks{}",
         kind.name(),
-        manager.name(),
         threads,
         args.jobs,
         throughput,
@@ -662,7 +636,6 @@ fn measure_once(
     let mut rec = Json::obj()
         .set("mode", "closed-loop")
         .set("protocol", kind.name())
-        .set("manager", manager.name())
         .set("threads", threads as u64)
         .set("jobs", args.jobs as u64)
         .set("seed", args.seed)
@@ -675,9 +648,6 @@ fn measure_once(
         .set("deadlocks_resolved", result.deadlocks_resolved)
         .set("park_timeout_wakeups", result.park_timeout_wakeups)
         .set("bands", Json::Arr(band_records));
-    if manager == rt::ManagerKind::Combining {
-        rec = rec.set("combiner", combiner_record(&result.combiner));
-    }
     if result.snapshot_reads {
         rec = rec
             .set("snapshots", result.snapshots)
@@ -731,9 +701,8 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
         .collect();
 
     println!(
-        "{:<8} {:<9} open-loop {:>10.0} jobs/sec offered: {:>4} committed {:>4} shed {:>4} rejected  miss {:>6.1}%  queue p95 {:>9.1}us  service p95 {:>9.1}us",
+        "{:<8} open-loop {:>10.0} jobs/sec offered: {:>4} committed {:>4} shed {:>4} rejected  miss {:>6.1}%  queue p95 {:>9.1}us  service p95 {:>9.1}us",
         p.kind.name(),
-        p.manager.name(),
         p.arrival_rate,
         r.committed,
         r.shed,
@@ -746,7 +715,6 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
     let mut rec = Json::obj()
         .set("mode", "open-loop")
         .set("protocol", p.kind.name())
-        .set("manager", p.manager.name())
         .set("threads", p.threads as u64)
         .set("jobs", p.jobs as u64)
         .set("seed", p.seed)
@@ -777,9 +745,6 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
     if p.deadline_scale > 1 {
         rec = rec.set("deadline_scale", p.deadline_scale);
     }
-    if p.manager == rt::ManagerKind::Combining {
-        rec = rec.set("combiner", combiner_record(&r.combiner));
-    }
     if r.snapshot_reads {
         rec = rec
             .set("snapshots", r.snapshots)
@@ -795,9 +760,6 @@ fn open_loop_record(report: &OpenLoopReport, point: usize, mix: Mix, net: bool) 
 /// lock-manager overhead and can sit several times above the real
 /// ceiling, which would leave every sweep point saturated; the min
 /// guards against a calibration run inflated by scheduler luck.
-/// Calibration runs under the mutex manager (the oracle), so both
-/// managers sweep at the *same* rates and their records compare like
-/// for like.
 fn calibrated_ceiling(
     set: &TransactionSet,
     kind: ProtocolKind,
@@ -827,7 +789,6 @@ fn top_rate(set: &TransactionSet, kind: ProtocolKind, threads: usize, args: &Arg
 fn measure_open_loop(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     rate: f64,
     mix: Mix,
@@ -835,7 +796,6 @@ fn measure_open_loop(
 ) -> Vec<Json> {
     let base = OpenLoopParams {
         kind,
-        manager,
         threads,
         tick_ns: args.tick_ns,
         jobs: args.jobs,
@@ -867,7 +827,6 @@ fn measure_open_loop(
 fn measure_scenario(
     set: &TransactionSet,
     kind: ProtocolKind,
-    manager: rt::ManagerKind,
     threads: usize,
     weights: &[u64],
     args: &Args,
@@ -920,7 +879,6 @@ fn measure_scenario(
         .map(|&fairness| {
             let p = OpenLoopParams {
                 kind,
-                manager,
                 threads,
                 tick_ns: args.tick_ns,
                 jobs: args.jobs,
@@ -1039,7 +997,7 @@ fn scenario_record(
 }
 
 /// The identity keys two records must share to be comparable: everything
-/// that parameterizes a run except the lock manager.
+/// that parameterizes a run.
 fn config_keys(rec: &Json) -> &'static [&'static str] {
     // Open-loop committed/sec tracks the offered rate below saturation,
     // so records only compare when the offered rate matches too —
@@ -1097,11 +1055,11 @@ fn keys_match(a: &Json, b: &Json, keys: &[&str]) -> bool {
     })
 }
 
-/// Baseline record matching this run's mode, manager and configuration.
+/// Baseline record matching this run's mode and configuration.
 fn baseline_of<'a>(baseline: &'a [Json], rec: &Json) -> Option<&'a Json> {
-    let mut keys = config_keys(rec).to_vec();
-    keys.push("manager");
-    baseline.iter().find(|b| keys_match(b, rec, &keys))
+    baseline
+        .iter()
+        .find(|b| keys_match(b, rec, config_keys(rec)))
 }
 
 fn short_label(rec: &Json) -> String {
@@ -1125,49 +1083,9 @@ fn short_label(rec: &Json) -> String {
     )
 }
 
-/// Warn-only A/B summary: for every combining record with a same-config
-/// mutex twin, print the throughput delta; collect a warning when the
-/// combiner lags beyond the tolerance.
-fn ab_summary(records: &[Json], warnings: &mut Vec<String>) {
-    let manager_of = |r: &Json| {
-        r.get("manager")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    for rec in records.iter().filter(|r| manager_of(r) == "combining") {
-        let Some(twin) = records
-            .iter()
-            .filter(|r| manager_of(r) == "mutex")
-            .find(|r| keys_match(r, rec, config_keys(rec)))
-        else {
-            continue;
-        };
-        let (Some(mutex_tps), Some(comb_tps)) = (
-            twin.get("committed_per_sec").and_then(Json::as_f64),
-            rec.get("committed_per_sec").and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        if mutex_tps <= 0.0 {
-            continue;
-        }
-        let delta = (comb_tps - mutex_tps) / mutex_tps * 100.0;
-        let label = short_label(rec);
-        eprintln!(
-            "A/B {label}: combining {comb_tps:.0}/s vs mutex {mutex_tps:.0}/s ({delta:+.1}%)"
-        );
-        if delta < -100.0 * REGRESSION_TOLERANCE {
-            warnings.push(format!(
-                "A/B {label}: combining lags mutex by {delta:+.1}% ({mutex_tps:.0} -> {comb_tps:.0})"
-            ));
-        }
-    }
-}
-
 /// Warn-only snapshot A/B summary: for every snapshot-on record with a
-/// same-config snapshot-off twin (same manager, mix, everything but the
-/// snapshot tag), print the throughput delta; collect a warning when
+/// same-config snapshot-off twin (same mix, everything but the snapshot
+/// tag), print the throughput delta; collect a warning when
 /// enabling the path *costs* throughput.
 fn snapshot_summary(records: &[Json], warnings: &mut Vec<String>) {
     let snapshot_of = |r: &Json| r.get("snapshot").and_then(Json::as_bool) == Some(true);
@@ -1176,7 +1094,6 @@ fn snapshot_summary(records: &[Json], warnings: &mut Vec<String>) {
             .iter()
             .copied()
             .filter(|&k| k != "snapshot")
-            .chain(["manager"])
             .collect();
         let Some(twin) = records
             .iter()
@@ -1195,11 +1112,7 @@ fn snapshot_summary(records: &[Json], warnings: &mut Vec<String>) {
             continue;
         }
         let delta = (on_tps - off_tps) / off_tps * 100.0;
-        let label = format!(
-            "{} [{}]",
-            short_label(rec),
-            rec.get("manager").and_then(Json::as_str).unwrap_or("?"),
-        );
+        let label = short_label(rec);
         eprintln!("snapshot A/B {label}: on {on_tps:.0}/s vs off {off_tps:.0}/s ({delta:+.1}%)");
         // Below saturation an open-loop run commits what is offered, so
         // small negative deltas are sampling noise; warn only on real
@@ -1232,7 +1145,6 @@ fn fairness_summary(records: &[Json], warnings: &mut Vec<String>) {
             .iter()
             .copied()
             .filter(|&k| k != "fairness")
-            .chain(["manager"])
             .collect();
         let Some(twin) = records
             .iter()
@@ -1342,6 +1254,22 @@ fn main() {
     // question (who gets shed under overload) and the full line-up
     // around it would bury that answer in runtime.
     let scenario_only = args.tenants.is_some() || args.tenant_weights.is_some();
+    // Open-loop deadlines are `release + period·tick_ns`, so at
+    // `--tick-ns 0` every deadline equals its release and every record
+    // would report a 100% miss. Only the protocol-bound closed loop is
+    // meaningful there: refuse explicit open-loop requests, skip the
+    // default line-up's open-loop runs.
+    let open_loop = args.tick_ns > 0;
+    if !open_loop {
+        if let Some(flag) = args.open_loop_flag {
+            eprintln!(
+                "{flag} needs --tick-ns > 0: open-loop deadlines are release + period·tick_ns, \
+                 so at --tick-ns 0 every deadline equals its release"
+            );
+            std::process::exit(2);
+        }
+        eprintln!("skipping the open-loop runs at --tick-ns 0 (deadlines would equal releases)");
+    }
     let closed_kinds: Vec<ProtocolKind> = if args.open_only || scenario_only {
         Vec::new()
     } else {
@@ -1366,7 +1294,7 @@ fn main() {
         .clone()
         .unwrap_or_else(|| DEFAULT_THREAD_SWEEP.to_vec());
     // The open loop keeps a single thread count: its sweep axis is
-    // offered load, and a full threads × rate × manager cube would blow
+    // offered load, and a full threads × rate cube would blow
     // the runtime budget.
     let open_threads: usize = match args.threads.as_deref() {
         Some([single]) => *single,
@@ -1384,29 +1312,27 @@ fn main() {
                 continue;
             }
             for &threads in &closed_threads {
-                for &manager in &args.managers {
-                    for &snapshot in &args.snapshots {
-                        // Tag every point of a sharded sweep — including
-                        // shards == 1 — because the partitioned workload
-                        // differs from the legacy standard one and its
-                        // records must never match untagged baselines.
-                        let shard_axis =
-                            sharded_sweep.then_some((shards, max_shards, args.cross_fraction));
-                        let mix = Mix {
-                            family,
-                            hotspot: hotspot_family,
-                            snapshot,
-                            shard_axis,
-                        };
-                        records.push(measure(&set, kind, manager, threads, mix, &args));
-                    }
+                for &snapshot in &args.snapshots {
+                    // Tag every point of a sharded sweep — including
+                    // shards == 1 — because the partitioned workload
+                    // differs from the legacy standard one and its
+                    // records must never match untagged baselines.
+                    let shard_axis =
+                        sharded_sweep.then_some((shards, max_shards, args.cross_fraction));
+                    let mix = Mix {
+                        family,
+                        hotspot: hotspot_family,
+                        snapshot,
+                        shard_axis,
+                    };
+                    records.push(measure(&set, kind, threads, mix, &args));
                 }
             }
         }
     }
     // The read-heavy sweep of the default full line-up: PCP-DA at 95/5,
-    // three Zipf exponents, snapshot off vs on, both managers — the A/B
-    // that the snapshot path exists for. Explicit `--read-fraction` /
+    // three Zipf exponents, snapshot off vs on — the A/B that the
+    // snapshot path exists for. Explicit `--read-fraction` /
     // `--skew` runs already measure their own family above.
     if args.kind.is_none()
         && !args.open_only
@@ -1422,18 +1348,9 @@ fn main() {
         for &skew in &[0.0, 0.6, 0.9] {
             let rh = rtdb_bench::read_heavy_workload(args.seed, 0.95, skew);
             for &threads in &family_threads {
-                for &manager in &args.managers {
-                    for snapshot in [false, true] {
-                        let mix = Mix::unsharded(Some((0.95, skew)), snapshot);
-                        records.push(measure(
-                            &rh,
-                            ProtocolKind::PcpDa,
-                            manager,
-                            threads,
-                            mix,
-                            &args,
-                        ));
-                    }
+                for snapshot in [false, true] {
+                    let mix = Mix::unsharded(Some((0.95, skew)), snapshot);
+                    records.push(measure(&rh, ProtocolKind::PcpDa, threads, mix, &args));
                 }
             }
         }
@@ -1442,15 +1359,14 @@ fn main() {
         // later saturation point — higher committed/sec at the top,
         // fewer rejects, lower miss ratio — is attributable to the
         // snapshot path alone.
-        let rh = rtdb_bench::read_heavy_workload(args.seed, 0.95, 0.9);
-        let rate = top_rate(&rh, ProtocolKind::PcpDa, open_threads, &args);
-        for &manager in &args.managers {
+        if open_loop {
+            let rh = rtdb_bench::read_heavy_workload(args.seed, 0.95, 0.9);
+            let rate = top_rate(&rh, ProtocolKind::PcpDa, open_threads, &args);
             for snapshot in [false, true] {
                 let mix = Mix::unsharded(Some((0.95, 0.9)), snapshot);
                 records.extend(measure_open_loop(
                     &rh,
                     ProtocolKind::PcpDa,
-                    manager,
                     open_threads,
                     rate,
                     mix,
@@ -1474,21 +1390,19 @@ fn main() {
         for &theta in &HOTSPOT_SKEWS {
             let hw = rtdb_bench::hotspot_workload(args.seed, theta);
             for &threads in &hotspot_threads {
-                for &manager in &args.managers {
-                    for &kind in &HOTSPOT_KINDS {
-                        let mix = Mix::hotspot(theta);
-                        records.push(measure(&hw, kind, manager, threads, mix, &args));
-                    }
+                for &kind in &HOTSPOT_KINDS {
+                    let mix = Mix::hotspot(theta);
+                    records.push(measure(&hw, kind, threads, mix, &args));
                 }
             }
         }
     }
     // The open-loop sweeps honour `--shards` too: calibration runs once
-    // per protocol (unsharded, mutex — the oracle), so every shard count
+    // per protocol (unsharded), so every shard count
     // sweeps the *same* offered rates and the records compare like for
     // like; sharded points carry the shard-axis tags, so they never
     // masquerade as standard-workload baselines.
-    if !scenario_only {
+    if open_loop && !scenario_only {
         for &kind in &open_kinds {
             let rate = top_rate(&set, kind, open_threads, &args);
             for &shards in &args.shards {
@@ -1500,24 +1414,21 @@ fn main() {
                     continue;
                 }
                 let shard_axis = sharded_sweep.then_some((shards, max_shards, args.cross_fraction));
-                for &manager in &args.managers {
-                    for &snapshot in &args.snapshots {
-                        let mix = Mix {
-                            family,
-                            hotspot: hotspot_family,
-                            snapshot,
-                            shard_axis,
-                        };
-                        records.extend(measure_open_loop(
-                            &set,
-                            kind,
-                            manager,
-                            open_threads,
-                            rate,
-                            mix,
-                            &args,
-                        ));
-                    }
+                for &snapshot in &args.snapshots {
+                    let mix = Mix {
+                        family,
+                        hotspot: hotspot_family,
+                        snapshot,
+                        shard_axis,
+                    };
+                    records.extend(measure_open_loop(
+                        &set,
+                        kind,
+                        open_threads,
+                        rate,
+                        mix,
+                        &args,
+                    ));
                 }
             }
         }
@@ -1530,7 +1441,11 @@ fn main() {
     // the hog clearly exceeds it; at 1:4 the separation is marginal and
     // scheduler noise can swallow the fairness effect.
     if scenario_only
-        || (args.kind.is_none() && family.is_none() && hotspot_family.is_none() && !sharded_sweep)
+        || (open_loop
+            && args.kind.is_none()
+            && family.is_none()
+            && hotspot_family.is_none()
+            && !sharded_sweep)
     {
         let weights: Vec<u64> = args.tenant_weights.clone().unwrap_or_else(|| {
             let n = args.tenants.unwrap_or(2);
@@ -1539,14 +1454,7 @@ fn main() {
             w
         });
         let kind = args.kind.unwrap_or(ProtocolKind::PcpDa);
-        records.extend(measure_scenario(
-            &set,
-            kind,
-            args.managers[0],
-            open_threads,
-            &weights,
-            &args,
-        ));
+        records.extend(measure_scenario(&set, kind, open_threads, &weights, &args));
     }
 
     let mut warnings = Vec::new();
@@ -1556,11 +1464,7 @@ fn main() {
             let new = rec.get("committed_per_sec").and_then(Json::as_f64);
             if let (Some(old), Some(new)) = (old, new) {
                 let delta = (new - old) / old * 100.0;
-                let label = format!(
-                    "{} [{}]",
-                    short_label(rec),
-                    rec.get("manager").and_then(Json::as_str).unwrap_or("?"),
-                );
+                let label = short_label(rec);
                 eprintln!("{label}: {delta:+.1}% vs baseline ({old:.0} -> {new:.0})");
                 if delta < -100.0 * REGRESSION_TOLERANCE {
                     warnings.push(format!(
@@ -1570,7 +1474,6 @@ fn main() {
             }
         }
     }
-    ab_summary(&records, &mut warnings);
     snapshot_summary(&records, &mut warnings);
     fairness_summary(&records, &mut warnings);
 

@@ -117,7 +117,6 @@ mod tests {
         let set = crate::standard_workload(7);
         let p = OpenLoopParams {
             kind: ProtocolKind::PcpDa,
-            manager: rt::ManagerKind::Mutex,
             threads: 2,
             tick_ns: 2_000,
             jobs: 80,

@@ -154,11 +154,6 @@ impl PriorityManager {
             .map(|e| (e.id, e.blockers.as_slice()))
     }
 
-    /// True if any blocking edge is currently recorded.
-    pub fn has_edges(&self) -> bool {
-        self.entries.iter().any(|e| e.blocked)
-    }
-
     /// Is anyone registered?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -263,7 +258,7 @@ mod tests {
         assert_eq!(m.running(i(2)), Priority(3));
         m.remove(i(0)); // the blocked transaction disappears
         assert_eq!(m.running(i(2)), Priority(1));
-        assert!(!m.has_edges());
+        assert_eq!(m.edges().count(), 0);
     }
 
     #[test]

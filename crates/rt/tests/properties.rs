@@ -104,7 +104,9 @@ fn brook_2pl_never_resolves_a_deadlock() {
 /// committed job, queueing delay plus service time equals total latency
 /// exactly — all three are derived from the same three `Instant`s
 /// (admission, worker start, commit), so the identity must hold to the
-/// nanosecond, under every policy, thread count and queue bound.
+/// nanosecond, under every policy, thread count and queue bound. The
+/// same runs conserve submissions (committed + shed + rejected ==
+/// offered) and leave a conflict-serializable history.
 #[test]
 fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
     prop::forall(16, |rng| {
@@ -156,6 +158,8 @@ fn front_queueing_plus_service_equals_latency_for_every_committed_job() {
             "{policy}/{kind:?}: submissions leaked"
         );
         assert_eq!(rt.jobs.len() as u64, rt.committed);
+        let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+        assert!(violations.is_empty(), "{policy}/{kind:?}: {violations:?}");
         for job in &rt.jobs {
             assert_eq!(
                 job.queue_ns + job.service_ns,

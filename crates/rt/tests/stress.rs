@@ -6,17 +6,18 @@
 //! update is lost: every committed write step must have bumped its item's
 //! version exactly once, so per item the final database version equals
 //! the number of Install events in the history, which in turn equals the
-//! number of committed instances whose template writes the item.
+//! number of committed instances whose template writes the item. A
+//! single-item hammer pins the parking path on its own.
 //!
-//! Gated to release builds: 9 protocols × 8 threads × 160 jobs of pure
-//! mutex churn is a wasteful crawl under an unoptimized build, and CI
-//! runs the release suite anyway.
+//! The 9-protocol battery is gated to release builds: 9 protocols × 8
+//! threads × 160 jobs of pure mutex churn is a wasteful crawl under an
+//! unoptimized build, and CI runs the release suite anyway.
 
 use rtdb_core::ProtocolKind;
-use rtdb_rt::{job_list, run, ManagerKind, RtConfig};
-use rtdb_sim::WorkloadParams;
+use rtdb_rt::{job_list, run, RtConfig};
+use rtdb_sim::{serializability_violations, WorkloadParams};
 use rtdb_storage::EventKind;
-use rtdb_types::TransactionSet;
+use rtdb_types::{ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate};
 use std::collections::BTreeMap;
 
 fn workload(seed: u64) -> TransactionSet {
@@ -34,21 +35,18 @@ fn workload(seed: u64) -> TransactionSet {
     .set
 }
 
-fn no_lost_updates_under(manager: ManagerKind) {
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-gated: run with `cargo test --release -p rtdb-rt`"
+)]
+fn eight_threads_nine_protocols_no_lost_updates() {
     for kind in ProtocolKind::ALL {
         let set = workload(0x57E5 + kind as u64);
         let jobs = job_list(&set, 160, 23 + kind as u64);
-        let rt = run(
-            &set,
-            &jobs,
-            RtConfig::new(kind).with_threads(8).with_manager(manager),
-        );
+        let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(8));
 
-        assert_eq!(
-            rt.committed,
-            jobs.len() as u64,
-            "{manager}/{kind:?}: dropped jobs"
-        );
+        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?}: dropped jobs");
 
         // Expected installs per item: each committed job writes each item
         // of its template's write set exactly once (the workspace stages
@@ -67,35 +65,38 @@ fn no_lost_updates_under(manager: ManagerKind) {
                 *installs.entry(item).or_default() += 1;
             }
         }
-        assert_eq!(
-            installs, expected,
-            "{manager}/{kind:?}: lost or duplicated install"
-        );
+        assert_eq!(installs, expected, "{kind:?}: lost or duplicated install");
 
         for (&item, &count) in &expected {
             assert_eq!(
                 rt.db.read(item).version,
                 count,
-                "{manager}/{kind:?}: final version of {item:?} disagrees with its install count"
+                "{kind:?}: final version of {item:?} disagrees with its install count"
             );
         }
     }
 }
 
+/// A workload guaranteed to park — every template hammers one item —
+/// drains completely and stays serializable at 8 threads, for the paper's
+/// protocol and the wound/restart baseline.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-gated: run with `cargo test --release -p rtdb-rt`"
-)]
-fn eight_threads_nine_protocols_no_lost_updates() {
-    no_lost_updates_under(ManagerKind::Mutex);
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-gated: run with `cargo test --release -p rtdb-rt`"
-)]
-fn eight_threads_nine_protocols_no_lost_updates_combining() {
-    no_lost_updates_under(ManagerKind::Combining);
+fn single_item_hammer_drains() {
+    let x = ItemId(0);
+    let mut b = SetBuilder::new();
+    for (name, period) in [("a", 10), ("b", 20), ("c", 40), ("d", 80)] {
+        b.add(TransactionTemplate::new(
+            name,
+            period,
+            vec![Step::read(x, 1), Step::write(x, 1)],
+        ));
+    }
+    let set = b.build().expect("set");
+    let jobs = job_list(&set, 64, 3);
+    for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
+        let rt = run(&set, &jobs, RtConfig::new(kind).with_threads(8));
+        assert_eq!(rt.committed, jobs.len() as u64, "{kind:?} dropped jobs");
+        let violations = serializability_violations(&set, &rt.history, &rt.db, true);
+        assert!(violations.is_empty(), "{kind:?}: {violations:?}");
+    }
 }
