@@ -83,19 +83,16 @@ pub fn run_net_open_loop(
                 tally(&resp, &mut accepted[tenant], &mut terminal[tenant]);
             }
         }
-        // Wait for every submission's terminal response.
+        // Wait for every submission's terminal response, blocking on a
+        // client that still owes some (the others' responses wait in
+        // their sockets).
         let drain_deadline = Instant::now() + DRAIN_TIMEOUT;
-        while terminal.iter().zip(&submitted).any(|(t, s)| t < s) && Instant::now() < drain_deadline
-        {
-            let mut progressed = false;
-            for (c, client) in clients.iter_mut().enumerate() {
-                while let Some(resp) = client.poll_response()? {
-                    tally(&resp, &mut accepted[c], &mut terminal[c]);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                std::thread::sleep(Duration::from_micros(200));
+        while let Some(c) = (0..tenants).find(|&c| terminal[c] < submitted[c]) {
+            let remaining = drain_deadline.saturating_duration_since(Instant::now());
+            match clients[c].wait_response(remaining) {
+                Ok(resp) => tally(&resp, &mut accepted[c], &mut terminal[c]),
+                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => break,
+                Err(e) => return Err(e),
             }
         }
         Ok(accepted.iter().sum())

@@ -10,10 +10,11 @@
 //!   (submit a template instantiation with release/deadline/tenant;
 //!   receive accepted/committed/shed/rejected), with an incremental
 //!   frame accumulator hardened against desynchronized peers;
-//! * [`server`] — [`serve`]: a single-threaded non-blocking event loop
-//!   (hand-rolled `std::net` readiness polling — the build is offline
-//!   and pure-std, so no tokio/mio) multiplexing every connection onto
-//!   the admission queue through a non-blocking submitter adapter;
+//! * [`server`] — [`serve`]: a blocking acceptor plus a reader and a
+//!   writer thread per connection (plain `std::net` blocking I/O — the
+//!   build is offline and pure-std, so no tokio/mio; every hop waits in
+//!   the kernel, none polls), bridging each connection onto the
+//!   admission queue through a non-blocking submitter adapter;
 //! * [`client`] — [`NetClient`]: the pipelining client the load
 //!   generator and the loopback tests drive the edge with.
 //!

@@ -16,7 +16,10 @@ use rtdb_net::{serve, NetClient, NetConfig, Request, Response};
 use rtdb_rt::{AdmissionPolicy, FrontConfig, RtConfig};
 use rtdb_sim::{Engine, RunOutcome, SimConfig};
 use rtdb_types::{InstanceId, ItemId, SetBuilder, Step, TransactionSet, TransactionTemplate};
-use std::time::Duration;
+use std::io::{ErrorKind, Write};
+use std::net::TcpStream;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 /// Milliseconds in nanoseconds.
 const MS: u64 = 1_000_000;
@@ -360,4 +363,205 @@ fn overload_accounting_balances_per_tenant_through_sockets() {
     }
     // Per-template shed telemetry covers every shed job.
     assert_eq!(rt.shed_by_txn.iter().sum::<u64>(), rt.shed);
+}
+
+/// Run `f` on a thread of its own and fail if it has not returned within
+/// a minute: for the tests below a hang is the failure.
+fn returns<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    let limit = Duration::from_secs(60);
+    let (tx, rx) = channel();
+    let run = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => {
+            run.join().expect("it sent its value, so it did not panic");
+            value
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(run.join().expect_err("it panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {limit:?}"),
+    }
+}
+
+/// A deadline-free submission of template `txn` for tenant 0.
+fn job(ticket: u64, txn: u32) -> Request {
+    Request::Submit {
+        ticket,
+        txn,
+        tenant: 0,
+        release_ns: 0,
+        deadline_ns: None,
+    }
+}
+
+/// The connection cap closes connections past it at once: a second
+/// connection reads EOF, and the first still commits.
+#[test]
+fn connections_past_the_cap_read_eof() {
+    let set = small_set();
+    let front = FrontConfig::new(ProtocolKind::PcpDa)
+        .with_rt(RtConfig::new(ProtocolKind::PcpDa).with_threads(1));
+    let (rt, ()) = serve(&set, NetConfig::new(front).with_max_conns(1), |addr| {
+        let mut first = NetClient::connect(addr).expect("connect");
+        first.submit(job(1, 0)).expect("submit");
+        // An answer proves the server took the first connection.
+        assert!(matches!(
+            first.wait_response(WAIT).expect("accept"),
+            Response::Accepted { ticket: 1 }
+        ));
+        let mut second = NetClient::connect(addr).expect("the kernel completes the handshake");
+        let err = second.wait_response(WAIT).expect_err("closed past the cap");
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+        assert!(matches!(
+            first.wait_response(WAIT).expect("terminal"),
+            Response::Committed { ticket: 1, .. }
+        ));
+    })
+    .expect("serve");
+    assert_eq!(rt.committed, 1);
+}
+
+/// `serve` returns when the driver does, even with one peer connected,
+/// idle and never closing, and another with a job still in flight; the
+/// orphaned job runs to commit and is counted.
+#[test]
+fn serve_returns_past_an_idle_peer_and_a_job_in_flight() {
+    returns(serve_past_an_idle_peer_and_a_job_in_flight);
+}
+
+fn serve_past_an_idle_peer_and_a_job_in_flight() {
+    let set = small_set();
+    // One worker at 10 ms per tick: the 2-tick job is still running when
+    // the driver returns.
+    let front = FrontConfig::new(ProtocolKind::PcpDa).with_rt(
+        RtConfig::new(ProtocolKind::PcpDa)
+            .with_threads(1)
+            .with_tick_ns(10 * MS),
+    );
+    let (rt, peers) = serve(&set, NetConfig::new(front), |addr| {
+        let mut idle = NetClient::connect(addr).expect("connect");
+        // One round trip (an unknown template bounces at the edge) proves
+        // the server is reading this connection; then it goes quiet.
+        idle.submit(job(1, 99)).expect("submit");
+        assert!(matches!(
+            idle.wait_response(WAIT).expect("response"),
+            Response::Rejected { ticket: 1 }
+        ));
+        let mut busy = NetClient::connect(addr).expect("connect");
+        busy.submit(job(2, 0)).expect("submit");
+        assert!(matches!(
+            busy.wait_response(WAIT).expect("accept"),
+            Response::Accepted { ticket: 2 }
+        ));
+        // Both connections outlive the driver.
+        (idle, busy)
+    })
+    .expect("serve");
+    assert_eq!(rt.committed, 1, "the orphaned job still committed");
+    assert_eq!((rt.shed, rt.rejected), (0, 0));
+    drop(peers);
+}
+
+/// A raw peer that floods `Submit` frames and never reads stalls only its
+/// own connection: once the server has stopped reading it, another
+/// connection's submit still reaches `Committed`, and `serve` returns
+/// with the flooder still open.
+#[test]
+fn a_flooding_peer_that_never_reads_stalls_only_itself() {
+    returns(flood_then_submit_elsewhere);
+}
+
+fn flood_then_submit_elsewhere() {
+    let set = small_set();
+    // A 4-slot queue in front of one worker at 100 µs per tick rejects
+    // most of the flood, so it admits little work.
+    let front = FrontConfig::new(ProtocolKind::PcpDa)
+        .with_capacity(4)
+        .with_rt(
+            RtConfig::new(ProtocolKind::PcpDa)
+                .with_threads(1)
+                .with_tick_ns(100_000),
+        );
+    let (rt, flooder) = serve(&set, NetConfig::new(front), |addr| {
+        let mut flooder = TcpStream::connect(addr).expect("connect");
+        flooder.set_nonblocking(true).expect("nonblocking");
+        let mut block = Vec::new();
+        for ticket in 0..1000 {
+            job(ticket, 0).encode(&mut block);
+        }
+        // Write until 100 ms pass without the server taking a byte: by
+        // then it has stopped reading, blocked on a flooder that reads
+        // nothing.
+        let (mut at, mut total, mut idle_ms) = (0usize, 0usize, 0);
+        while idle_ms < 100 {
+            match flooder.write(&block[at..]) {
+                Ok(n) => {
+                    (at, total, idle_ms) = ((at + n) % block.len(), total + n, 0);
+                    assert!(total < 1 << 28, "the server never stopped reading");
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1));
+                    idle_ms += 1;
+                }
+                Err(e) => panic!("flood write failed: {e}"),
+            }
+        }
+
+        let mut client = NetClient::connect(addr).expect("connect");
+        // The flood's last admitted jobs drain in about a millisecond;
+        // retry while they fill the queue.
+        let give_up = Instant::now() + WAIT;
+        for ticket in 0.. {
+            client.submit(job(ticket, 1)).expect("submit");
+            match client.wait_response(WAIT).expect("response") {
+                Response::Accepted { .. } => break,
+                Response::Rejected { .. } if Instant::now() < give_up => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(matches!(
+            client.wait_response(WAIT).expect("terminal"),
+            Response::Committed { .. }
+        ));
+        flooder
+    })
+    .expect("serve");
+    assert!(rt.committed >= 1);
+    drop(flooder);
+}
+
+/// A client that pipelines far more than the sockets buffer before it
+/// reads anything does not deadlock against the server's writer, which
+/// blocks on a full socket: `submit` takes in responses while its own
+/// writes would block.
+#[test]
+fn pipelining_without_reading_does_not_deadlock() {
+    returns(pipeline_then_read);
+}
+
+fn pipeline_then_read() {
+    // 13 MB of responses, well past what loopback socket buffers hold
+    // by default.
+    const FRAMES: u64 = 1_000_000;
+    let set = small_set();
+    let front = FrontConfig::new(ProtocolKind::PcpDa)
+        .with_rt(RtConfig::new(ProtocolKind::PcpDa).with_threads(1));
+    let (_, ()) = serve(&set, NetConfig::new(front), |addr| {
+        let mut client = NetClient::connect(addr).expect("connect");
+        // Unknown templates bounce at the edge: all socket, no jobs.
+        for ticket in 0..FRAMES {
+            client.submit(job(ticket, 99)).expect("submit");
+        }
+        for ticket in 0..FRAMES {
+            match client.wait_response(WAIT).expect("response") {
+                Response::Rejected { ticket: t } => assert_eq!(t, ticket),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    })
+    .expect("serve");
 }

@@ -2,10 +2,10 @@
 //! per-tenant fairness budgets.
 //!
 //! Submitters enqueue [`crate::JobRequest`]s here without ever touching
-//! the lock manager; the dispatcher thread drains the queue into the
-//! worker pool. The queue is the *only* place the open-loop front door
-//! pushes back on offered load, and what it does when full is the
-//! [`AdmissionPolicy`]:
+//! the lock manager; the workers pop it directly, and each pop numbers
+//! its instance under the lock it already holds. The queue is the *only*
+//! place the open-loop front door pushes back on offered load, and what
+//! it does when full is the [`AdmissionPolicy`]:
 //!
 //! * [`AdmissionPolicy::Reject`] — bounce the new request back to its
 //!   submitter (classic open-loop drop-tail; offered load above
@@ -50,6 +50,7 @@
 
 use crate::front::{Completion, JobRequest};
 use crate::runtime::dur_ns;
+use rtdb_types::InstanceId;
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -335,7 +336,7 @@ impl TenantLedger {
     }
 }
 
-/// One admitted request, as it travels queue → dispatcher → worker.
+/// One admitted request, as it travels queue → worker.
 pub(crate) struct Admitted {
     pub req: JobRequest,
     /// Submission ticket, for correlating completions.
@@ -370,9 +371,11 @@ struct Inner {
     q: VecDeque<Admitted>,
     closed: bool,
     ledger: TenantLedger,
+    /// Next sequence number per template, assigned at pop.
+    next_seq: Vec<u32>,
 }
 
-/// A bounded MPSC queue: many submitters push, the dispatcher pops.
+/// A bounded MPMC queue: many submitters push, the workers pop.
 pub(crate) struct AdmissionQueue {
     inner: Mutex<Inner>,
     not_empty: Condvar,
@@ -395,6 +398,7 @@ impl AdmissionQueue {
                 q: VecDeque::new(),
                 closed: false,
                 ledger: TenantLedger::new(fairness, templates),
+                next_seq: vec![0; templates],
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -489,13 +493,21 @@ impl AdmissionQueue {
     }
 
     /// Pop the oldest admitted request, blocking while the queue is open
-    /// and empty. `None` once the queue is closed *and* drained.
-    pub(crate) fn pop(&self) -> Option<Admitted> {
+    /// and empty, and give it its instance id: the template's next
+    /// sequence number, taken under the same lock, so ids follow pop
+    /// order exactly (a single-worker, block-policy replay reproduces
+    /// the instance sequence it was fed). `None` once the queue is
+    /// closed *and* drained.
+    pub(crate) fn pop(&self) -> Option<(InstanceId, Admitted)> {
         let mut g = self.lock();
         loop {
             if let Some(item) = g.q.pop_front() {
+                let txn = item.req.txn;
+                let seq = &mut g.next_seq[txn.index()];
+                let id = InstanceId::new(txn, *seq);
+                *seq += 1;
                 self.not_full.notify_one();
-                return Some(item);
+                return Some((id, item));
             }
             if g.closed {
                 return None;
@@ -515,7 +527,7 @@ impl AdmissionQueue {
         self.not_full.notify_all();
     }
 
-    /// Queued (admitted, not yet dispatched) requests.
+    /// Queued (admitted, not yet started) requests.
     pub(crate) fn len(&self) -> usize {
         self.lock().q.len()
     }
@@ -591,7 +603,7 @@ mod tests {
         }
         let tickets: Vec<u64> = std::iter::from_fn(|| {
             q.close();
-            q.pop().map(|a| a.ticket)
+            q.pop().map(|(_, a)| a.ticket)
         })
         .collect();
         assert_eq!(tickets, vec![1, 2]);
@@ -607,10 +619,10 @@ mod tests {
             // Give the pusher a moment to park on the full queue, then
             // drain one entry to release it.
             std::thread::sleep(std::time::Duration::from_millis(5));
-            assert_eq!(q.pop().expect("queued").ticket, 0);
+            assert_eq!(q.pop().expect("queued").1.ticket, 0);
             assert!(pusher.join().expect("pusher"));
         });
-        assert_eq!(q.pop().expect("queued").ticket, 1);
+        assert_eq!(q.pop().expect("queued").1.ticket, 1);
     }
 
     #[test]
@@ -622,8 +634,30 @@ mod tests {
             q.push(item(8).0, AdmissionPolicy::Block),
             Push::Closed
         ));
-        assert_eq!(q.pop().expect("drains the backlog").ticket, 7);
+        assert_eq!(q.pop().expect("drains the backlog").1.ticket, 7);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn pop_numbers_each_template_in_pop_order() {
+        let q = queue(3);
+        // Tickets 1, 2, 5, 9 request templates 1, 2, 1, 1 (ticket % 4).
+        for t in [1, 2, 5] {
+            q.push(deadline_item(t, 0, u64::MAX, 0), AdmissionPolicy::Reject);
+        }
+        match q.push(
+            deadline_item(9, 0, u64::MAX, 0),
+            AdmissionPolicy::ShedOldest,
+        ) {
+            Push::AdmittedShed(old) => assert_eq!(old.ticket, 1),
+            _ => panic!("expected a shed"),
+        }
+        q.close();
+        // The shed request never took a sequence number.
+        let ids: Vec<(u64, u32, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|(id, a)| (a.ticket, id.txn.0, id.seq))
+            .collect();
+        assert_eq!(ids, vec![(2, 2, 0), (5, 1, 0), (9, 1, 1)]);
     }
 
     /// Satellite: the Display/FromStr round trip covers every policy —
@@ -673,7 +707,7 @@ mod tests {
             Push::SelfShed
         ));
         q.close();
-        let tickets: Vec<u64> = std::iter::from_fn(|| q.pop().map(|a| a.ticket)).collect();
+        let tickets: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, a)| a.ticket)).collect();
         assert_eq!(tickets, vec![0, 2]);
         let (counts, shed_by_txn) = q.counters();
         assert_eq!(counts.len(), 1);

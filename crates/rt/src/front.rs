@@ -6,11 +6,11 @@
 //! only admits a job when it is free to run it. This module is the open
 //! front door: *submitters* enqueue [`JobRequest`]s (template, release
 //! time, absolute deadline) onto a bounded admission queue without ever
-//! blocking on the lock manager; a *dispatcher* thread assigns instance
-//! ids and feeds the worker pool; workers execute exactly the closed
-//! loop's job body and report completions back over each submitter's own
-//! completion channel. When the admission queue fills, the configured
-//! [`AdmissionPolicy`] decides who loses.
+//! blocking on the lock manager; workers pop the queue directly (each pop
+//! assigns the instance id under the queue's lock), execute exactly the
+//! closed loop's job body and report completions back over each
+//! submitter's own completion channel. When the admission queue fills,
+//! the configured [`AdmissionPolicy`] decides who loses.
 //!
 //! Time is wall-clock nanoseconds relative to the front-end's start
 //! (`t0`). A job's life is stamped at four points — release (intended,
@@ -22,9 +22,9 @@
 //! deadline-miss ratios directly comparable with the simulator's miss
 //! metrics.
 //!
-//! The whole front-end is scoped: [`run_front`] spawns dispatcher and
-//! workers, hands the caller a [`FrontHandle`] to create submitters
-//! from, and shuts down with *drain* semantics when the driver closure
+//! The whole front-end is scoped: [`run_front`] spawns the workers,
+//! hands the caller a [`FrontHandle`] to create submitters from, and
+//! shuts down with *drain* semantics when the driver closure
 //! returns — everything already admitted still executes, everything
 //! submitted afterwards bounces.
 
@@ -38,18 +38,16 @@ use crate::runtime::{
 use crate::sharded::ShardedManager;
 use crate::snapshot::SnapshotSide;
 use rtdb_core::ProtocolKind;
-use rtdb_types::{InstanceId, TransactionSet, TxnId};
-use std::collections::VecDeque;
+use rtdb_types::{TransactionSet, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One transaction request, as a submitter hands it to the front door.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobRequest {
-    /// The template to instantiate (sequence numbers are assigned by the
-    /// dispatcher in admission order).
+    /// The template to instantiate (sequence numbers are assigned when a
+    /// worker pops the request, in queue order).
     pub txn: TxnId,
     /// Intended release time, ns since the front-end's `t0`. Informational
     /// for the runtime — the submitter is responsible for not submitting
@@ -267,8 +265,8 @@ impl Submitter<'_> {
 
     /// Submit one request, never blocking: [`AdmissionPolicy::Block`] is
     /// demoted to [`AdmissionPolicy::Reject`] for this call. The network
-    /// event loop submits through this — a full queue must bounce a
-    /// frame, not park the loop.
+    /// edge submits through this — a full queue must bounce a frame, not
+    /// park the connection's reader.
     pub fn try_submit(&self, req: JobRequest) -> SubmitOutcome {
         let policy = match self.shared.policy {
             AdmissionPolicy::Block => AdmissionPolicy::Reject,
@@ -318,122 +316,42 @@ impl Submitter<'_> {
     }
 }
 
-/// A dispatched job: an admitted request with its instance id assigned.
-struct Dispatched {
-    id: InstanceId,
-    job: Admitted,
+/// One worker's share of the run: its job reports (in its own commit
+/// order; the merge sorts them globally) and its latency histogram.
+struct WorkerOutput {
+    reports: Vec<JobReport>,
+    hist: LatencyHistogram,
 }
 
-/// The tightly bounded dispatcher→worker hand-off. Its capacity is the
-/// worker count, so backlog accumulates in the *admission* queue — the
-/// place where the policy applies — not here.
-struct DispatchQueue {
-    inner: Mutex<(VecDeque<Dispatched>, bool)>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl DispatchQueue {
-    fn new(capacity: usize) -> Self {
-        DispatchQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, (VecDeque<Dispatched>, bool)> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Blocking push; only the dispatcher calls this, and it closes the
-    /// queue afterwards, so a push never races a close.
-    fn push(&self, item: Dispatched) {
-        let mut g = self.lock();
-        while g.0.len() >= self.capacity {
-            g = self
-                .not_full
-                .wait(g)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        g.0.push_back(item);
-        self.not_empty.notify_one();
-    }
-
-    fn pop(&self) -> Option<Dispatched> {
-        let mut g = self.lock();
-        loop {
-            if let Some(item) = g.0.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if g.1 {
-                return None;
-            }
-            g = self
-                .not_empty
-                .wait(g)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        let mut g = self.lock();
-        g.1 = true;
-        self.not_empty.notify_all();
-    }
-}
-
-/// FIFO bridge from the admission queue to the worker pool: assigns each
-/// template's sequence numbers in admission order (so a single-threaded,
-/// block-policy replay reproduces exactly the instance sequence it was
-/// fed — the property the sim-differential test leans on).
-fn dispatcher(set: &TransactionSet, admission: &AdmissionQueue, dispatch: &DispatchQueue) {
-    let mut next_seq = vec![0u32; set.len()];
-    while let Some(job) = admission.pop() {
-        let txn = job.req.txn;
-        let seq = next_seq[txn.index()];
-        next_seq[txn.index()] += 1;
-        dispatch.push(Dispatched {
-            id: InstanceId::new(txn, seq),
-            job,
-        });
-    }
-    dispatch.close();
-}
-
-#[allow(clippy::too_many_arguments)]
 fn front_worker(
     set: &TransactionSet,
     manager: &ShardedManager<'_>,
     snap: Option<&SnapshotSide>,
-    dispatch: &DispatchQueue,
-    reports: &Mutex<Vec<JobReport>>,
+    admission: &AdmissionQueue,
     config: &RtConfig,
     worker_index: usize,
     t0: Instant,
-) -> LatencyHistogram {
+) -> WorkerOutput {
     let mut ctx = WorkerCtx::new(worker_index);
-    let mut hist = LatencyHistogram::new();
-    while let Some(d) = dispatch.pop() {
+    let mut out = WorkerOutput {
+        reports: Vec::new(),
+        hist: LatencyHistogram::new(),
+    };
+    while let Some((id, job)) = admission.pop() {
         let started = Instant::now();
-        let stats = execute_job(set, manager, snap, d.id, &mut ctx, config);
+        let stats = execute_job(set, manager, snap, id, &mut ctx, config);
         let committed = Instant::now();
-        let latency_ns = dur_ns(committed.duration_since(d.job.admitted_at));
-        hist.record(latency_ns);
+        let latency_ns = dur_ns(committed.duration_since(job.admitted_at));
+        out.hist.record(latency_ns);
         let report = JobReport {
-            id: d.id,
-            priority: set.priority_of(d.id.txn),
+            id,
+            priority: set.priority_of(id.txn),
             latency_ns,
-            queue_ns: dur_ns(started.duration_since(d.job.admitted_at)),
+            queue_ns: dur_ns(started.duration_since(job.admitted_at)),
             service_ns: dur_ns(committed.duration_since(started)),
-            release_ns: d.job.req.release_ns,
-            tenant: d.job.req.tenant,
-            deadline_ns: d.job.req.deadline_ns,
+            release_ns: job.req.release_ns,
+            tenant: job.req.tenant,
+            deadline_ns: job.req.deadline_ns,
             commit_ns: dur_ns(committed.duration_since(t0)),
             restarts: stats.restarts,
             block_events: stats.block_events,
@@ -441,20 +359,16 @@ fn front_worker(
             commit_index: stats.commit_index,
             snapshot: stats.snapshot,
         };
-        reports
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(report.clone());
-        let _ = d.job.done.send(Completion::Committed {
-            ticket: d.job.ticket,
+        out.reports.push(report.clone());
+        let _ = job.done.send(Completion::Committed {
+            ticket: job.ticket,
             report,
         });
     }
-    hist
+    out
 }
 
-/// Run an admission front-end: spawn `config.rt.threads` workers and a
-/// dispatcher, call `driver` with a [`FrontHandle`] on the current
+/// Run an admission front-end: spawn `config.rt.threads` workers, call `driver` with a [`FrontHandle`] on the current
 /// thread, and shut down with drain semantics when it returns (admitted
 /// jobs still execute; later submissions observe [`SubmitOutcome::Closed`]).
 /// Returns the run's [`RtResult`] — commit-ordered job reports with
@@ -469,8 +383,6 @@ pub fn run_front<R>(
     let snap = snapshot_side(set, &config.rt);
     let manager = ShardedManager::new(set, &config.rt, snap.clone());
     let shards = manager.shard_count();
-    let dispatch = DispatchQueue::new(threads);
-    let reports: Mutex<Vec<JobReport>> = Mutex::new(Vec::new());
     let t0 = Instant::now();
     let shared = FrontShared {
         t0,
@@ -489,35 +401,33 @@ pub fn run_front<R>(
             .collect(),
     };
 
-    let (value, latency_hist) = std::thread::scope(|scope| {
+    let (value, jobs, latency_hist) = std::thread::scope(|scope| {
         let manager = &manager;
-        let dispatch = &dispatch;
-        let reports = &reports;
+        let admission = &shared.queue;
         let rt_config = &config.rt;
         let t0 = shared.t0;
         let workers: Vec<_> = (0..threads)
             .map(|w| {
                 let snap = snap.as_deref();
-                scope.spawn(move || {
-                    front_worker(set, manager, snap, dispatch, reports, rt_config, w, t0)
-                })
+                scope.spawn(move || front_worker(set, manager, snap, admission, rt_config, w, t0))
             })
             .collect();
-        let disp = scope.spawn(|| dispatcher(set, &shared.queue, dispatch));
 
-        // Run the driver on this thread; if it panics the queues must
+        // Run the driver on this thread; if it panics the queue must
         // still close, or the scope would join parked workers forever.
         let value = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             driver(FrontHandle { shared: &shared })
         }));
         shared.queue.close();
-        disp.join().expect("dispatcher panicked");
+        let mut jobs = Vec::new();
         let mut hist = LatencyHistogram::new();
         for w in workers {
-            hist.merge(&w.join().expect("worker panicked"));
+            let out = w.join().expect("worker panicked");
+            jobs.extend(out.reports);
+            hist.merge(&out.hist);
         }
         match value {
-            Ok(v) => (v, hist),
+            Ok(v) => (v, jobs, hist),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     });
@@ -525,9 +435,6 @@ pub fn run_front<R>(
 
     let sharded = manager.finish();
     let mut report = sharded.report;
-    let jobs = reports
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let (jobs, snapshots, mv_high_water) =
         merge_snapshot_jobs(jobs, snap.as_deref(), &mut report.history, report.commits);
     let (tenant_counts, shed_by_txn) = shared.queue.counters();

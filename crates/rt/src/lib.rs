@@ -19,9 +19,9 @@
 //!   commit (with abort/restart for the wound/validate protocols);
 //! * [`front`] — the asynchronous admission front-end: submitters
 //!   enqueue [`JobRequest`]s (release time, deadline) on a bounded
-//!   admission queue, a dispatcher feeds the worker pool, completions
-//!   return over per-submitter channels — open-loop arrivals with
-//!   runtime deadline tracking;
+//!   admission queue, the workers pop it directly (numbering instances
+//!   at pop), completions return over per-submitter channels — open-loop
+//!   arrivals with runtime deadline tracking;
 //! * [`admission`] — the bounded MPSC admission queue, its overload
 //!   policies (reject / shed-oldest / least-slack / block-submitter) and
 //!   the per-tenant token-bucket fairness budgets ([`FairnessConfig`]);

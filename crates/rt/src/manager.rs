@@ -587,6 +587,9 @@ impl<'a> Shared<'a> {
                 if let Some(owner) = latest {
                     self.view.deps.add_dep(who, owner);
                 }
+                if mode == LockMode::Read && !self.kind.may_abort() && self.router.is_none() {
+                    self.order_writers_after(who, item);
+                }
                 {
                     let Shared { view, protocol, .. } = self;
                     protocol.on_grant(view, req);
@@ -624,6 +627,29 @@ impl<'a> Shared<'a> {
                     m if m.aborted || m.woken || m.pending.is_none() => TryAcquire::Retry,
                     m => TryAcquire::Park(m.cv.clone()),
                 }
+            }
+        }
+    }
+
+    /// A read granted over foreign write locks sees the committed value
+    /// (updates are deferred), so it orders `reader` before every
+    /// write-holder of `item`: their commits must follow its commit. On
+    /// one CPU priority scheduling keeps that order (PCP-DA's Theorem 3
+    /// serializes in commit order); on real threads a lower-priority
+    /// holder can reach its commit first and invalidate the read. Gate
+    /// each holder's commit on the reader's through the dependency
+    /// tracker, and give a holder already parked at the gate the new
+    /// wait-for edge. Abort-based protocols settle this order themselves
+    /// (OCC-BC aborts the reader when the writer commits), and the
+    /// sharded commit path does not consult the tracker, so the caller
+    /// applies this to unsharded runs of protocols that never abort.
+    fn order_writers_after(&mut self, reader: InstanceId, item: ItemId) {
+        let holders: Vec<InstanceId> = self.view.locks.writers_other_than(item, reader).collect();
+        for w in holders {
+            self.view.deps.add_dep(w, reader);
+            if self.view.meta(w).pending.is_none() && self.view.pm.is_blocked(w) {
+                let deps = self.view.deps.deps_of(w).to_vec();
+                self.view.pm.set_blocked(w, &deps);
             }
         }
     }
@@ -1189,5 +1215,46 @@ impl<'a> LockManager<'a> {
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .into_report()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtdb_types::{SetBuilder, Step, TransactionTemplate};
+
+    /// PCP-DA grants a high-priority read over a low-priority write lock;
+    /// the writer may then commit only after the reader.
+    #[test]
+    fn a_read_over_a_write_lock_gates_the_writers_commit() {
+        let set = SetBuilder::new()
+            .with(TransactionTemplate::new(
+                "hi",
+                10,
+                vec![Step::read(ItemId(0), 1)],
+            ))
+            .with(TransactionTemplate::new(
+                "lo",
+                100,
+                vec![Step::write(ItemId(0), 1)],
+            ))
+            .build()
+            .expect("set");
+        let mut s = Shared::new(&set, ProtocolKind::PcpDa, None, ShardCtx::single());
+        let (hi, lo) = (InstanceId::new(TxnId(0), 0), InstanceId::new(TxnId(1), 0));
+        let (mut ws_hi, mut ws_lo) = (Workspace::new(hi), Workspace::new(lo));
+        s.begin(lo);
+        let granted = s.try_acquire(lo, 0, ItemId(0), LockMode::Write, &mut ws_lo);
+        assert!(matches!(granted, TryAcquire::Done));
+        s.begin(hi);
+        let granted = s.try_acquire(hi, 0, ItemId(0), LockMode::Read, &mut ws_hi);
+        assert!(matches!(granted, TryAcquire::Done));
+
+        assert!(s.gate_commit(lo), "the writer must wait for the reader");
+        assert!(!s.gate_commit(hi));
+        s.commit_inner(hi, &ws_hi);
+        assert!(!s.gate_commit(lo), "the reader's commit opens the gate");
+        s.commit_inner(lo, &ws_lo);
+        assert_eq!(s.history.commit_order(), &[hi, lo]);
     }
 }

@@ -36,7 +36,7 @@ pub struct RtConfig {
     /// expiry the waiter re-runs the wake-up re-evaluation and a deadlock
     /// sweep itself, healing lost wake-ups and cycles that formed without
     /// a block event. The default (25 ms) never matters on the fast path;
-    /// the admission dispatcher and latency-sensitive tests can tighten
+    /// the admission front-end and latency-sensitive tests can tighten
     /// it.
     pub park_timeout: Duration,
     /// Lock-manager shards: items partition across this many independent

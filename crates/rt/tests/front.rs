@@ -196,9 +196,9 @@ fn bounded_workload(seed: u64) -> TransactionSet {
 
 /// Replaying the simulator's serialization order through the *front door*
 /// (instead of a prebuilt job list) on one worker still reproduces the
-/// final database under real contention: the dispatcher's
-/// admission-order sequence numbering is exactly the replay the
-/// closed-loop differential performs.
+/// final database under real contention: workers number instances at
+/// pop, in admission order, which is exactly the replay the closed-loop
+/// differential performs.
 #[test]
 fn open_loop_replay_through_front_matches_sim_under_contention() {
     for kind in [ProtocolKind::PcpDa, ProtocolKind::TwoPlHp] {
@@ -212,8 +212,8 @@ fn open_loop_replay_through_front_matches_sim_under_contention() {
         let order: Vec<InstanceId> = sim.history.commit_order().to_vec();
         assert!(!order.is_empty());
 
-        // The dispatcher assigns per-template sequence numbers in
-        // admission order, so the replay below reproduces these exact
+        // Workers number instances at pop, per template, in admission
+        // order, so the replay below reproduces these exact
         // instance ids only if the sim committed each template's
         // instances in sequence order. Check that premise explicitly.
         for t in set.templates() {
